@@ -19,7 +19,7 @@ pub struct Victim {
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Way {
     tag: u64,
     valid: bool,
@@ -31,7 +31,7 @@ struct Way {
 ///
 /// `sets × ways` lines; a line is identified by an opaque block key
 /// whose low bits select the set.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheArray {
     ways: Vec<Way>,
     /// Set count as shift-and-mask: `sets.rem(key)` is the set index,
@@ -194,9 +194,14 @@ impl CacheArray {
     }
 
     /// Remove every line whose key satisfies `pred`; returns the number
-    /// of removed lines and how many of them were dirty. Used to flush
-    /// SRAM lines of a DC frame being evicted (Algorithm 2, line 3).
-    pub fn invalidate_matching(&mut self, mut pred: impl FnMut(u64) -> bool) -> (usize, usize) {
+    /// of removed lines and how many of them were dirty. A scan of every
+    /// way, kept as the oracle for the set-indexed page flush
+    /// ([`crate::CacheLevel::invalidate_dc_page`]).
+    #[cfg(test)]
+    pub(crate) fn invalidate_matching(
+        &mut self,
+        mut pred: impl FnMut(u64) -> bool,
+    ) -> (usize, usize) {
         let sets = self.sets;
         let assoc = self.assoc;
         let mut removed = 0;

@@ -20,10 +20,11 @@ use crate::mshr::{MshrAlloc, MshrFile, MshrToken};
 use nomad_obs::{Gauge, Histo, Registry, Span, SpanRing};
 use nomad_types::stats::Counter;
 use nomad_types::{
-    AccessKind, Cycle, MemReq, MemResp, MemTarget, NextActivity, ReqId, TrafficClass,
+    AccessKind, BlockAddr, Cycle, FxHashMap, MemReq, MemResp, MemTarget, NextActivity, ReqId,
+    TrafficClass, SUB_BLOCKS_PER_PAGE,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Configuration of one cache level.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -158,7 +159,7 @@ struct LevelObs {
     /// attached with [`CacheLevel::attach_obs_full`].
     miss_latency: Option<Histo>,
     /// Issue cycle of each in-flight primary miss, keyed by MSHR slot.
-    miss_start: HashMap<usize, Cycle>,
+    miss_start: FxHashMap<usize, Cycle>,
     /// Span sink + track id for head-of-line MSHR-stall spans.
     ring: Option<(SpanRing, u32)>,
     /// Start of the currently open stall span, if any.
@@ -278,7 +279,7 @@ impl CacheLevel {
                     "Completion latency of primary misses (fetch issue to fill)",
                 )
             }),
-            miss_start: HashMap::new(),
+            miss_start: FxHashMap::default(),
             ring: None,
             stall_open: None,
         }
@@ -296,6 +297,7 @@ impl CacheLevel {
     }
 
     /// Whether the incoming queue has room for one more request.
+    #[inline]
     pub fn can_accept(&self) -> bool {
         self.incoming.len() < self.cfg.incoming_capacity
     }
@@ -306,6 +308,7 @@ impl CacheLevel {
     ///
     /// Panics in debug builds if called while
     /// [`can_accept`](CacheLevel::can_accept) is `false`.
+    #[inline]
     pub fn push_req(&mut self, req: MemReq, now: Cycle) {
         debug_assert!(
             self.can_accept(),
@@ -317,22 +320,26 @@ impl CacheLevel {
 
     /// Deliver a fill from the lower level; `resp.token` must be the
     /// MSHR token this level used for the fetch.
+    #[inline]
     pub fn push_resp(&mut self, resp: MemResp) {
         self.resp_in.push_back(resp);
     }
 
     /// Next request destined for the lower level, if any (peek).
+    #[inline]
     pub fn peek_to_lower(&self) -> Option<&MemReq> {
         self.to_lower.front()
     }
 
     /// Remove and return the request yielded by
     /// [`peek_to_lower`](CacheLevel::peek_to_lower).
+    #[inline]
     pub fn pop_to_lower(&mut self) -> Option<MemReq> {
         self.to_lower.pop_front()
     }
 
     /// Next response ready for the upper level at `now`, if any.
+    #[inline]
     pub fn pop_to_upper(&mut self, now: Cycle) -> Option<MemResp> {
         match self.to_upper.front() {
             Some(&(ready, _)) if ready <= now => self.to_upper.pop_front().map(|(_, r)| r),
@@ -342,6 +349,7 @@ impl CacheLevel {
 
     /// Advance one cycle: apply fills, then look up ready incoming
     /// requests (up to `ports`).
+    #[inline]
     pub fn tick(&mut self, now: Cycle) {
         // 1. Fills from below.
         while let Some(resp) = self.resp_in.pop_front() {
@@ -460,11 +468,24 @@ impl CacheLevel {
     /// `(lines_removed, dirty_lines)`. Dirty data is folded into the
     /// page's dirty-in-cache state by the caller rather than written
     /// back line-by-line.
+    ///
+    /// Probes only the sets of the page's 64 block keys instead of
+    /// scanning every way: the array never holds a key twice, so this
+    /// removes exactly the lines (and counts) a full scan would.
     pub fn invalidate_dc_page(&mut self, page: u64) -> (usize, usize) {
-        self.array.invalidate_matching(|key| {
-            let (addr, target) = unkey(key);
-            target == MemTarget::DramCache && addr.page() == page
-        })
+        let first = page * SUB_BLOCKS_PER_PAGE;
+        let mut removed = 0;
+        let mut dirty = 0;
+        for block in first..first + SUB_BLOCKS_PER_PAGE {
+            if let Some(d) = self
+                .array
+                .invalidate(block_key(BlockAddr(block), MemTarget::DramCache))
+            {
+                removed += 1;
+                dirty += d as usize;
+            }
+        }
+        (removed, dirty)
     }
 
     /// Counters for this level.
@@ -534,7 +555,6 @@ impl NextActivity for CacheLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nomad_types::BlockAddr;
 
     fn read(token: u64, block: u64) -> MemReq {
         MemReq::read(ReqId(token), BlockAddr(block), MemTarget::OffPackage, 0)
@@ -805,6 +825,52 @@ mod tests {
         }
         assert!(c.is_idle());
         assert_eq!(c.next_activity_at(499), None, "idle level is reactive");
+    }
+
+    /// Page of the fill/flush draw `sel`: two neighbouring pages at 24
+    /// strides of 8, so every L1, L2 and (1 MiB) L3 set sees more
+    /// distinct keys than it has ways and the fills evict.
+    fn page_of(sel: u64) -> u64 {
+        sel % 2 + 8 * (sel / 2)
+    }
+
+    proptest::proptest! {
+        /// The set-indexed flush reports the old full scan's
+        /// `(removed, dirty)` counts and leaves the array in exactly
+        /// the state the scan did, at the L1, L2 and L3 geometries,
+        /// over mixed off-package and cache-space lines.
+        #[test]
+        fn prop_dc_page_flush_matches_full_scan(
+            fills in proptest::collection::vec(
+                (0u64..48, 0u64..SUB_BLOCKS_PER_PAGE, proptest::bool::ANY, proptest::bool::ANY),
+                1..3000,
+            ),
+            flushes in proptest::collection::vec(0u64..48, 1..6),
+        ) {
+            let geometries = [
+                CacheLevelConfig::l1d(),
+                CacheLevelConfig::l2(),
+                CacheLevelConfig::l3(1024 * 1024),
+            ];
+            for cfg in geometries {
+                let mut level = CacheLevel::new(cfg);
+                for &(sel, off, dc, dirty) in &fills {
+                    let target = if dc { MemTarget::DramCache } else { MemTarget::OffPackage };
+                    let block = BlockAddr(page_of(sel) * SUB_BLOCKS_PER_PAGE + off);
+                    level.array.insert(block_key(block, target), dirty);
+                }
+                let mut oracle = level.array.clone();
+                for &sel in &flushes {
+                    let page = page_of(sel);
+                    let want = oracle.invalidate_matching(|key| {
+                        let (addr, target) = unkey(key);
+                        target == MemTarget::DramCache && addr.page() == page
+                    });
+                    proptest::prop_assert_eq!(level.invalidate_dc_page(page), want);
+                    proptest::prop_assert!(level.array == oracle, "surviving lines differ");
+                }
+            }
+        }
     }
 
     #[test]

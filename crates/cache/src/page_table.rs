@@ -11,9 +11,8 @@
 //! performs first-touch physical-frame allocation for the synthetic
 //! workloads.
 
-use nomad_types::{Cfn, Pfn, Vpn};
+use nomad_types::{Cfn, FxHashMap, Pfn, Vpn};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// What a PTE currently points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -51,9 +50,9 @@ impl Pte {
 /// physical-frame allocator.
 #[derive(Debug, Default)]
 pub struct PageTable {
-    ptes: HashMap<u64, Pte>,
+    ptes: FxHashMap<u64, Pte>,
     /// PFN → VPNs mapping it (more than one for shared pages).
-    rmap: HashMap<u64, Vec<u64>>,
+    rmap: FxHashMap<u64, Vec<u64>>,
     next_pfn: u64,
 }
 

@@ -17,9 +17,8 @@
 //! event.
 
 use crate::page_table::FrameKind;
-use nomad_types::{Cycle, NextActivity, Vpn};
+use nomad_types::{Cycle, FxHashMap, NextActivity, Vpn};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A cached translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,7 +70,7 @@ impl Default for TlbConfig {
 #[derive(Debug)]
 pub struct Tlb {
     /// `vpn → slot` index into the arena.
-    map: HashMap<u64, usize>,
+    map: FxHashMap<u64, usize>,
     /// Per-slot recency stamps; meaningful only where `live` is set.
     stamps: Vec<u64>,
     /// Per-slot entry payloads; meaningful only where `live` is set.
@@ -97,7 +96,7 @@ impl Tlb {
             noncacheable: false,
         };
         Tlb {
-            map: HashMap::with_capacity(capacity + 1),
+            map: FxHashMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             stamps: vec![0; capacity],
             entries: vec![filler; capacity],
             live: vec![0; capacity.div_ceil(64)],
@@ -281,6 +280,7 @@ impl TlbHierarchy {
     }
 
     /// Look up `vpn` across both levels, promoting L2 hits into L1.
+    #[inline]
     pub fn lookup(&mut self, vpn: Vpn) -> TlbLookup {
         if let Some(entry) = self.l1.lookup(vpn) {
             self.l1_hits += 1;
@@ -307,6 +307,7 @@ impl TlbHierarchy {
     /// Install a translation after a walk. Entries pushed fully out of
     /// the hierarchy are queued for
     /// [`take_departures`](TlbHierarchy::take_departures).
+    #[inline]
     pub fn insert(&mut self, entry: TlbEntry) {
         self.l1.insert(entry);
         if let Some(victim) = self.l2.insert(entry) {
@@ -331,6 +332,7 @@ impl TlbHierarchy {
     }
 
     /// Shoot down `vpn`; returns whether it was resident.
+    #[inline]
     pub fn invalidate(&mut self, vpn: Vpn) -> bool {
         let in_l1 = self.l1.invalidate(vpn).is_some();
         match self.l2.invalidate(vpn) {
@@ -344,11 +346,13 @@ impl TlbHierarchy {
 
     /// Drain entries that fully left the hierarchy since the last call;
     /// the scheme clears their TLB-directory bits.
+    #[inline]
     pub fn take_departures(&mut self) -> Vec<TlbEntry> {
         std::mem::take(&mut self.departures)
     }
 
     /// Page-table-walk latency of this hierarchy's walker.
+    #[inline]
     pub fn walk_latency(&self) -> Cycle {
         self.cfg.walk_latency
     }

@@ -15,9 +15,10 @@ use nomad_dcache::{
 use nomad_dram::Dram;
 use nomad_obs::{Gauge, Registry, Span, SpanRing, TRACK_EVICT, TRACK_FILL, TRACK_WRITEBACK};
 use nomad_types::{
-    AccessKind, Cfn, CoreId, Cycle, MemResp, MemTarget, SubBlockIdx, TrafficClass, Vpn, PAGE_SIZE,
+    AccessKind, Cfn, CoreId, Cycle, FxHashMap, FxHashSet, MemResp, MemTarget, SubBlockIdx,
+    TrafficClass, Vpn, PAGE_SIZE,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 const HBM_DEMAND_TAG: u64 = 1 << 56;
 const DDR_DEMAND_TAG: u64 = 2 << 56;
@@ -64,7 +65,7 @@ struct SchemeObs {
     /// Issue cycle of each in-flight copy, keyed by
     /// `(is_writeback, cfn)` — unique while the copy is active because
     /// a back-end refuses a second command for a busy CFN.
-    copy_started: HashMap<(bool, u64), Cycle>,
+    copy_started: FxHashMap<(bool, u64), Cycle>,
     /// Scratch for commands accepted during the current front-end tick.
     issued: Vec<CopyCommand>,
 }
@@ -81,15 +82,15 @@ pub struct NomadScheme {
     retry: VecDeque<(DcAccessReq, Cycle)>,
     /// Cores suspended per faulting VPN (woken at handler completion
     /// for NOMAD, moved to `fill_waiters` for TDC).
-    vpn_waiters: HashMap<u64, Vec<CoreId>>,
+    vpn_waiters: FxHashMap<u64, Vec<CoreId>>,
     /// TDC: cores suspended until their page fill completes.
-    fill_waiters: HashMap<u64, Vec<CoreId>>,
+    fill_waiters: FxHashMap<u64, Vec<CoreId>>,
     /// TDC: fills that completed before the handler event was
     /// processed.
-    early_fills: HashSet<u64>,
+    early_fills: FxHashSet<u64>,
     fe_events: FrontendEvents,
     /// SecondTouch policy state: pages seen exactly once (bounded).
-    touched_once: HashSet<u64>,
+    touched_once: FxHashSet<u64>,
     completed_scratch: Vec<CompletedCopy>,
     evict_scratch: Vec<nomad_dcache::EvictCandidate>,
     resp_scratch: Vec<(Cycle, MemResp)>,
@@ -122,11 +123,11 @@ impl NomadScheme {
             hbm_demand: DemandPath::with_tag(HBM_DEMAND_TAG),
             ddr_demand: DemandPath::with_tag(DDR_DEMAND_TAG),
             retry: VecDeque::new(),
-            vpn_waiters: HashMap::new(),
-            fill_waiters: HashMap::new(),
-            early_fills: HashSet::new(),
+            vpn_waiters: FxHashMap::default(),
+            fill_waiters: FxHashMap::default(),
+            early_fills: FxHashSet::default(),
             fe_events: FrontendEvents::default(),
-            touched_once: HashSet::new(),
+            touched_once: FxHashSet::default(),
             completed_scratch: Vec::new(),
             evict_scratch: Vec::new(),
             resp_scratch: Vec::new(),
@@ -590,7 +591,7 @@ impl DcScheme for NomadScheme {
                 "Demand accesses queued for retry after a PCSHR sub-entry refusal",
             ),
             ring: ring.clone(),
-            copy_started: HashMap::new(),
+            copy_started: FxHashMap::default(),
             issued: Vec::new(),
         });
     }

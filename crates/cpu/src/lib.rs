@@ -304,6 +304,7 @@ impl Core {
 
     /// Suspend the core in an OS routine until `until` (exclusive).
     /// Longer of two overlapping stalls wins.
+    #[inline]
     pub fn stall_os(&mut self, until: Cycle, reason: OsStallReason) {
         match self.os_stall {
             Some((cur, _)) if cur >= until => {}
@@ -319,6 +320,7 @@ impl Core {
     /// End an OS suspension early (the scheme woke the core — e.g. a
     /// NOMAD tag-miss handler or a TDC blocking fill completed).
     /// No-op when the core is not suspended.
+    #[inline]
     pub fn wake_os(&mut self) {
         self.os_stall = None;
     }
@@ -326,12 +328,14 @@ impl Core {
     /// Next memory operation awaiting injection into the memory system,
     /// if any. The caller takes it only when downstream can accept it;
     /// use [`Core::push_back_dispatch`] to return it on failure.
+    #[inline]
     pub fn pop_dispatch(&mut self) -> Option<PendingMemOp> {
         self.dispatch_q.pop_front()
     }
 
     /// Return an op taken by [`Core::pop_dispatch`] that could not be
     /// injected this cycle (retried in order).
+    #[inline]
     pub fn push_back_dispatch(&mut self, op: PendingMemOp) {
         self.dispatch_q.push_front(op);
     }
@@ -341,6 +345,7 @@ impl Core {
     /// # Panics
     ///
     /// Panics if `slot` is not an outstanding memory operation.
+    #[inline]
     pub fn mem_done(&mut self, slot: u64) {
         let idx = slot.wrapping_sub(self.mem_head_slot);
         assert!(idx < self.mem_live as u64, "mem_done for unknown slot");
@@ -353,6 +358,7 @@ impl Core {
     }
 
     /// Advance one cycle: commit, then fetch/dispatch.
+    #[inline]
     pub fn tick(&mut self, now: Cycle) {
         self.stats.cycles.inc();
 
@@ -486,6 +492,7 @@ impl Core {
     /// memory system ([`pop_dispatch`](Self::pop_dispatch)). Draining
     /// them is the *system's* per-cycle work, so the event kernel must
     /// not skip while this is set even if the core itself is stalled.
+    #[inline]
     pub fn dispatch_pending(&self) -> bool {
         !self.dispatch_q.is_empty()
     }
@@ -508,6 +515,7 @@ impl Core {
     /// `quiescent` (zero commits, head waiting on
     /// memory), so each skipped cycle increments `cycles` plus exactly
     /// one stall counter.
+    #[inline]
     pub fn idle_advance(&mut self, delta: Cycle) {
         self.stats.cycles.add(delta);
         if let Some((_, reason)) = self.os_stall {

@@ -32,10 +32,10 @@ use crate::stats::SchemeStats;
 use nomad_cache::{FrameKind, PageTable, TlbEntry};
 use nomad_dram::{Dram, DramRequest, Probe};
 use nomad_types::{
-    AccessKind, Cfn, CoreId, Cycle, MemResp, Pfn, ReqId, TrafficClass, Vpn, BLOCK_SIZE, PAGE_SIZE,
-    SUB_BLOCKS_PER_PAGE,
+    AccessKind, Cfn, CoreId, Cycle, FxHashMap, MemResp, Pfn, ReqId, TrafficClass, Vpn, BLOCK_SIZE,
+    PAGE_SIZE, SUB_BLOCKS_PER_PAGE,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Banshee configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,7 +121,7 @@ pub struct Banshee {
     /// Global access counter driving the sampling clock.
     access_count: u64,
     /// Sampled per-page candidate frequency (pages not yet cached).
-    cand_freq: HashMap<u64, u32>,
+    cand_freq: FxHashMap<u64, u32>,
     fills: Vec<Option<Fill>>,
     /// Fill-engine requests awaiting device room.
     pending_hbm: VecDeque<DramRequest>,
@@ -154,7 +154,7 @@ impl Banshee {
             hbm_demand: DemandPath::with_tag(TOK_DEMAND),
             ddr_demand: DemandPath::with_tag(TOK_DEMAND),
             access_count: 0,
-            cand_freq: HashMap::new(),
+            cand_freq: FxHashMap::default(),
             fills: (0..4).map(|_| None).collect(),
             pending_hbm: VecDeque::new(),
             pending_ddr: VecDeque::new(),

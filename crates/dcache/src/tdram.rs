@@ -96,7 +96,7 @@ pub struct Tdram {
     /// were taken.
     retry: VecDeque<(DcAccessReq, Cycle)>,
     /// Demand reads in flight to HBM: token-seq → (req, arrival).
-    demand_inflight: std::collections::HashMap<u64, (DcAccessReq, Cycle)>,
+    demand_inflight: nomad_types::FxHashMap<u64, (DcAccessReq, Cycle)>,
     next_demand_token: u64,
     /// Latency-critical HBM traffic (demand reads/writes, miss probes).
     pending_hbm: VecDeque<DramRequest>,
@@ -124,7 +124,7 @@ impl Tdram {
             num_slots,
             mshrs: (0..cfg.mshrs).map(|_| None).collect(),
             retry: VecDeque::new(),
-            demand_inflight: std::collections::HashMap::new(),
+            demand_inflight: nomad_types::FxHashMap::default(),
             next_demand_token: 0,
             pending_hbm: VecDeque::new(),
             pending_hbm_bg: VecDeque::new(),

@@ -24,8 +24,10 @@ use crate::scheme::{CacheFlush, DcAccessReq, DcScheme, SchemeEvents, WalkOutcome
 use crate::stats::SchemeStats;
 use nomad_cache::{CacheArray, PageTable, TlbEntry};
 use nomad_dram::{Dram, DramRequest, Probe};
-use nomad_types::{AccessKind, CoreId, Cycle, MemResp, ReqId, TrafficClass, Vpn, BLOCK_SIZE};
-use std::collections::{HashMap, VecDeque};
+use nomad_types::{
+    AccessKind, CoreId, Cycle, FxHashMap, MemResp, ReqId, TrafficClass, Vpn, BLOCK_SIZE,
+};
+use std::collections::VecDeque;
 
 /// TiD configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +100,7 @@ pub struct Tid {
     /// Accesses that missed while all MSHRs were busy.
     retry: VecDeque<(DcAccessReq, Cycle)>,
     /// Demand reads in flight to HBM: token-seq → (req, arrival).
-    demand_inflight: HashMap<u64, (DcAccessReq, Cycle)>,
+    demand_inflight: FxHashMap<u64, (DcAccessReq, Cycle)>,
     next_demand_token: u64,
     /// Latency-critical HBM traffic (demand reads/writes).
     pending_hbm: VecDeque<DramRequest>,
@@ -127,7 +129,7 @@ impl Tid {
             tags: CacheArray::new(sets, cfg.assoc),
             mshrs: (0..cfg.mshrs).map(|_| None).collect(),
             retry: VecDeque::new(),
-            demand_inflight: HashMap::new(),
+            demand_inflight: FxHashMap::default(),
             next_demand_token: 0,
             pending_hbm: VecDeque::new(),
             pending_hbm_bg: VecDeque::new(),

@@ -231,9 +231,10 @@ impl Channel {
             self.touch();
         }
         if now >= self.next_refresh {
-            // Wait for all banks to become precharge-able, then refresh.
-            let drain = self.banks.max_busy_until();
-            if now >= drain && now >= self.bus_free_at {
+            // Wait for the bus and all banks to become precharge-able,
+            // then refresh. The bus test is one compare; the bank scan
+            // is sixteen.
+            if now >= self.bus_free_at && now >= self.banks.max_busy_until() {
                 let until = now + self.timing.t_rfc;
                 self.banks.refresh_close_all(until);
                 self.refresh_until = Some(until);
@@ -301,9 +302,16 @@ impl Channel {
 
         // FR-FCFS pass 1: oldest CAS-ready row hit whose bus slot is
         // free. A command is only worth inspecting when its bank is in
-        // `candidates` (open, past CAS timing, and actually queued).
+        // `candidates` (open, past CAS timing, and actually queued). No
+        // command is while the bus frees after even the later of a
+        // read's (tCL) and a write's (tCWL) data-burst start.
         let t = self.timing;
-        let candidates = self.banks.cas_ready_mask(now) & self.queued_mask;
+        let bus_ok = now + t.t_cl.max(t.t_cwl) >= self.bus_free_at;
+        let candidates = if bus_ok {
+            self.banks.cas_ready_mask(now) & self.queued_mask
+        } else {
+            0
+        };
         if candidates != 0 {
             let mut cas_idx = None;
             for (i, cmd) in self.queue.iter().enumerate() {
@@ -335,46 +343,51 @@ impl Channel {
         // bank is decided by its oldest queued command, so once every
         // queued bank is attempted or protected the scan stops.
         let act_ok = self.act_allowed(now);
+        // The command found: (queue index, bank, `Some(row)` to
+        // activate or `None` to precharge).
+        let mut prepare = None;
         let mut protected: u64 = 0; // open rows older requests rely on
         let mut attempted: u64 = 0; // banks already considered
-        for i in 0..self.queue.len() {
+        for (i, cmd) in self.queue.iter().enumerate() {
             let remaining = self.queued_mask & !(attempted | protected);
             if remaining == 0 {
                 break;
             }
-            let (bank_idx, row) = {
-                let cmd = &self.queue[i];
-                (cmd.bank, cmd.row)
-            };
-            let bit = 1u64 << bank_idx;
+            let bit = 1u64 << cmd.bank;
             if remaining & bit == 0 {
                 continue;
             }
-            match self.banks.open_row(bank_idx) {
-                Some(open) if open == row => {
+            match self.banks.open_row(cmd.bank) {
+                Some(open) if open == cmd.row => {
                     // Row already open; waiting on tCCD or the bus.
                     protected |= bit;
                 }
                 Some(_) => {
-                    if self.banks.can_pre(bank_idx, now) {
-                        self.banks.pre(bank_idx, now, &t);
-                        self.touch();
-                        return;
+                    if self.banks.can_pre(cmd.bank, now) {
+                        prepare = Some((i, cmd.bank, None));
+                        break;
                     }
                     attempted |= bit;
                 }
                 None => {
-                    if self.banks.can_act(bank_idx, now) && act_ok {
-                        self.banks.act(bank_idx, row, now, &t);
-                        self.queue[i].needed_act = true;
-                        self.note_act(now);
-                        self.touch();
-                        return;
+                    if self.banks.can_act(cmd.bank, now) && act_ok {
+                        prepare = Some((i, cmd.bank, Some(cmd.row)));
+                        break;
                     }
                     attempted |= bit;
                 }
             }
         }
+        match prepare {
+            Some((_, bank, None)) => self.banks.pre(bank, now, &t),
+            Some((i, bank, Some(row))) => {
+                self.banks.act(bank, row, now, &t);
+                self.queue[i].needed_act = true;
+                self.note_act(now);
+            }
+            None => return,
+        }
+        self.touch();
     }
 
     /// The pre-refactor dense FR-FCFS scan, kept verbatim as a parity

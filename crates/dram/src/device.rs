@@ -86,11 +86,12 @@ pub struct Dram {
     cpu_cycle: Cycle,
     /// Completions waiting for their device-cycle deadline.
     pending: Vec<ChannelCompletion>,
-    /// Memoized minimum `done_at` over `pending` ([`PENDING_DIRTY`]
-    /// when stale, [`PENDING_NONE`] when `pending` is empty); pushes
-    /// fold into it in O(1), drains invalidate it, so the kernel's
-    /// next-activity query stops re-walking the in-flight buffer.
-    pending_min: std::cell::Cell<u64>,
+    /// Minimum `done_at` over `pending` ([`PENDING_NONE`] when it is
+    /// empty), kept exact: pushes fold into it in O(1) and a drain
+    /// recomputes it from the survivors it already walks. Lets the edge
+    /// pass skip the drain when nothing is due, and the kernel's
+    /// next-activity query read the deadline without a walk.
+    pending_min: u64,
     scratch: Vec<ChannelCompletion>,
     obs: Option<DramObs>,
     /// Wall-clock profiling of [`tick`](Self::tick) time, armed by the
@@ -102,10 +103,8 @@ pub struct Dram {
     profiled_raw: u64,
 }
 
-/// Sentinel: [`Dram::pending_min`] must be recomputed.
-const PENDING_DIRTY: u64 = u64::MAX;
 /// Sentinel: `pending` is empty, no completion deadline exists.
-const PENDING_NONE: u64 = u64::MAX - 1;
+const PENDING_NONE: u64 = u64::MAX;
 
 /// Sampled observability gauges for one DRAM device: traffic totals
 /// mirrored from [`DramStats`] plus the instantaneous per-channel queue
@@ -135,7 +134,7 @@ impl Dram {
             dev_cycle: 0,
             cpu_cycle: 0,
             pending: Vec::new(),
-            pending_min: std::cell::Cell::new(PENDING_NONE),
+            pending_min: PENDING_NONE,
             scratch: Vec::new(),
             obs: None,
             profile: false,
@@ -157,7 +156,7 @@ impl Dram {
         self.dev_cycle = 0;
         self.cpu_cycle = 0;
         self.pending.clear();
-        self.pending_min.set(PENDING_NONE);
+        self.pending_min = PENDING_NONE;
         self.scratch.clear();
         self.profiled_raw = 0;
     }
@@ -245,12 +244,14 @@ impl Dram {
     }
 
     /// Whether the channel serving `addr` can accept one more request.
+    #[inline]
     pub fn can_accept(&self, addr: u64) -> bool {
         self.channels[self.map.decode(addr).channel].can_accept()
     }
 
     /// Submit a request; returns it back if the target channel's queue
     /// is full so the caller can retry next cycle.
+    #[inline]
     pub fn try_push(&mut self, req: DramRequest) -> Result<(), DramRequest> {
         let loc = self.map.decode(req.addr);
         match self.channels[loc.channel].try_push(
@@ -269,6 +270,7 @@ impl Dram {
     }
 
     /// Advance one CPU cycle; completed transfers are appended to `out`.
+    #[inline]
     pub fn tick(&mut self, out: &mut Vec<DramCompletion>) {
         if self.profile {
             let t0 = nomad_types::fastclock::now();
@@ -301,17 +303,18 @@ impl Dram {
             self.stats.note_row_outcome(c.row_hit);
             self.stats
                 .note_transfer(c.class, c.kind.is_write(), c.probe.bytes());
-            let pm = self.pending_min.get();
-            if pm != PENDING_DIRTY && c.done_at < pm {
-                self.pending_min.set(c.done_at);
-            }
+            self.pending_min = self.pending_min.min(c.done_at);
             self.pending.push(c);
         }
-        // Deliver completions whose device deadline has passed.
-        let before = self.pending.len();
+        // Deliver completions whose device deadline has passed; the
+        // minimum says whether any has.
         let dev_now = self.dev_cycle;
+        if self.pending_min > dev_now {
+            return;
+        }
         let cpu_now = self.cpu_cycle;
         let stats = &mut self.stats;
+        let mut survivors_min = PENDING_NONE;
         self.pending.retain(|c| {
             if c.done_at <= dev_now {
                 if c.kind == AccessKind::Read {
@@ -329,12 +332,11 @@ impl Dram {
                 }
                 false
             } else {
+                survivors_min = survivors_min.min(c.done_at);
                 true
             }
         });
-        if self.pending.len() != before {
-            self.pending_min.set(PENDING_DIRTY);
-        }
+        self.pending_min = survivors_min;
     }
 
     /// Earliest CPU cycle strictly after `now` at which ticking the
@@ -365,21 +367,9 @@ impl Dram {
                 d_next = d_next.min(d);
             }
         }
-        let mut pm = self.pending_min.get();
-        if pm == PENDING_DIRTY {
-            pm = self
-                .pending
-                .iter()
-                .map(|c| c.done_at)
-                .min()
-                .unwrap_or(PENDING_NONE);
-            self.pending_min.set(pm);
-        }
-        if pm != PENDING_NONE {
-            // Pending deadlines are always > dev_cycle (the edge pass
-            // drained everything due).
-            d_next = d_next.min(pm);
-        }
+        // Pending deadlines are always > dev_cycle (the edge pass
+        // drained everything due); PENDING_NONE leaves `d_next` alone.
+        d_next = d_next.min(self.pending_min);
         debug_assert!(d_next > d0 && d_next != u64::MAX);
         // CPU ticks until the edge counter reaches `d_next`:
         // clock_acc + n·den ≥ k·num  ⇒  n = ⌈(k·num − clock_acc)/den⌉.

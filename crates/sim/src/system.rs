@@ -568,17 +568,7 @@ impl System {
         for resp in self.ev.responses.drain(..) {
             self.l3.push_resp(resp);
         }
-        // Forced TLB shootdowns (tiny-cache fallback path).
-        let shootdowns: Vec<_> = self.ev.shootdowns.drain(..).collect();
-        for vpn in shootdowns {
-            for c in 0..self.cores.len() {
-                if self.tlbs[c].invalidate(vpn) {
-                    for d in self.tlbs[c].take_departures() {
-                        self.scheme.tlb_departed(c, d.vpn);
-                    }
-                }
-            }
-        }
+        self.apply_shootdowns();
         let mut rewalk: Vec<CoreId> = Vec::new();
         for core_id in self.ev.wakes.drain(..) {
             self.cores[core_id].wake_os();
@@ -604,6 +594,21 @@ impl System {
         }
         self.cycle += 1;
         self.measured_cycles += 1;
+    }
+
+    /// Apply the scheme's forced TLB shootdowns (tiny-cache fallback
+    /// path) to every core's TLBs, reporting departures back. Drains in
+    /// place: the list is empty on almost every cycle.
+    fn apply_shootdowns(&mut self) {
+        for vpn in self.ev.shootdowns.drain(..) {
+            for (c, tlb) in self.tlbs.iter_mut().enumerate() {
+                if tlb.invalidate(vpn) {
+                    for d in tlb.take_departures() {
+                        self.scheme.tlb_departed(c, d.vpn);
+                    }
+                }
+            }
+        }
     }
 
     fn process_walks(&mut self, now: Cycle) {
@@ -646,6 +651,9 @@ impl System {
 
     fn drain_dispatch(&mut self, now: Cycle) {
         for c in 0..self.cores.len() {
+            if !self.cores[c].dispatch_pending() {
+                continue;
+            }
             loop {
                 let in_flight =
                     self.walking[c].len() + self.blocked[c].len() + self.issue_q[c].len();
@@ -1161,16 +1169,7 @@ impl System {
             for resp in self.ev.responses.drain(..) {
                 self.l3.push_resp(resp);
             }
-            let shootdowns: Vec<_> = self.ev.shootdowns.drain(..).collect();
-            for vpn in shootdowns {
-                for c in 0..self.cores.len() {
-                    if self.tlbs[c].invalidate(vpn) {
-                        for d in self.tlbs[c].take_departures() {
-                            self.scheme.tlb_departed(c, d.vpn);
-                        }
-                    }
-                }
-            }
+            self.apply_shootdowns();
             let mut rewalk: Vec<CoreId> = Vec::new();
             for core_id in self.ev.wakes.drain(..) {
                 self.cores[core_id].wake_os();

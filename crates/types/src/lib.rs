@@ -12,7 +12,9 @@
 //!   for every metric the paper reports ([`stats`]).
 //! * **Content hashing** — the FNV-1a 64 function every
 //!   content-addressed identity in the workspace derives from: serve
-//!   cache keys, journal grid hashes, fleet ring placement ([`hash`]).
+//!   cache keys, journal grid hashes, fleet ring placement — and the
+//!   seedless integer hasher behind every simulator map
+//!   ([`FxHashMap`], [`FxHashSet`]) ([`hash`]).
 //! * **Environment knobs** — the shared parse/clamp/warn-on-garbage
 //!   reader behind every `NOMAD_*` tuning variable ([`mod@env`]).
 //!
@@ -37,7 +39,7 @@ pub mod wheel;
 pub use addr::{BlockAddr, CacheAddr, Cfn, PageOffset, Pfn, PhysAddr, SubBlockIdx, VirtAddr, Vpn};
 pub use event::{CancelToken, NextActivity};
 pub use geom::{Geometry, Pow2};
-pub use hash::fnv1a;
+pub use hash::{fnv1a, FxHashMap, FxHashSet};
 pub use req::{AccessKind, MemLevel, MemReq, MemResp, MemTarget, ReqId, TrafficClass};
 pub use wheel::TimingWheel;
 
