@@ -25,6 +25,7 @@
 use nomad_bench::{apply_perf_gate, load_json, measure, save_json};
 use nomad_sim::{SchemeSpec, System, SystemConfig};
 use nomad_trace::{SyntheticTrace, TraceSource, WorkloadProfile};
+use nomad_types::env::u64_or;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -39,13 +40,6 @@ struct Row {
     event_secs: f64,
     event_cycles_per_sec: f64,
     speedup: f64,
-}
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn build(cfg: &SystemConfig, spec: &SchemeSpec, profile: &WorkloadProfile, seed: u64) -> System {
@@ -85,10 +79,10 @@ fn timed_run(sys: &mut System, dense: bool, warmup: u64, instructions: u64) -> (
 
 fn main() {
     nomad_bench::harness_init();
-    let instructions = env_u64("NOMAD_INSTR", 200_000);
-    let warmup = env_u64("NOMAD_WARMUP", 20_000);
-    let seed = env_u64("NOMAD_SEED", 42);
-    let reps = env_u64("NOMAD_REPS", 3).max(1);
+    let instructions = u64_or("NOMAD_INSTR", 200_000);
+    let warmup = u64_or("NOMAD_WARMUP", 20_000);
+    let seed = u64_or("NOMAD_SEED", 42);
+    let reps = u64_or("NOMAD_REPS", 3).max(1);
     let mut cfg = SystemConfig::scaled(1);
     cfg.dc_capacity = 4 * 1024 * 1024;
 

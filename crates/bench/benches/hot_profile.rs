@@ -37,6 +37,7 @@
 use nomad_bench::{measure, save_json};
 use nomad_sim::{SchemeSpec, System, SystemConfig};
 use nomad_trace::{SyntheticTrace, TraceSource, WorkloadProfile};
+use nomad_types::env::u64_or;
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,13 +103,6 @@ struct Row {
     run_allocs: u64,
 }
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn make_traces(
     cfg: &SystemConfig,
     profile: &WorkloadProfile,
@@ -147,10 +141,10 @@ fn pct(part: u64, whole: f64) -> f64 {
 
 fn main() {
     nomad_bench::harness_init();
-    let instructions = env_u64("NOMAD_INSTR", 200_000);
-    let warmup = env_u64("NOMAD_WARMUP", 20_000);
-    let seed = env_u64("NOMAD_SEED", 42);
-    let reps = env_u64("NOMAD_REPS", 1).max(1);
+    let instructions = u64_or("NOMAD_INSTR", 200_000);
+    let warmup = u64_or("NOMAD_WARMUP", 20_000);
+    let seed = u64_or("NOMAD_SEED", 42);
+    let reps = u64_or("NOMAD_REPS", 1).max(1);
     let mut cfg = SystemConfig::scaled(1);
     cfg.dc_capacity = 4 * 1024 * 1024;
 

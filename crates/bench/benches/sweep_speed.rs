@@ -22,6 +22,7 @@
 use nomad_bench::{apply_perf_gate, figs, load_json, measure, par, save_json, Scale};
 use nomad_sim::SchemeSpec;
 use nomad_trace::WorkloadProfile;
+use nomad_types::env::u64_or;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -41,23 +42,16 @@ struct SweepSpeed {
     rows_identical: bool,
 }
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
     nomad_bench::harness_init();
     let scale = Scale {
-        instructions: env_u64("NOMAD_INSTR", 12_000),
-        warmup: env_u64("NOMAD_WARMUP", 3_000),
-        cores: env_u64("NOMAD_CORES", 8) as usize,
-        seed: env_u64("NOMAD_SEED", 42),
+        instructions: u64_or("NOMAD_INSTR", 12_000),
+        warmup: u64_or("NOMAD_WARMUP", 3_000),
+        cores: u64_or("NOMAD_CORES", 8) as usize,
+        seed: u64_or("NOMAD_SEED", 42),
         jobs: par::jobs_from_env(),
     };
-    let reps = env_u64("NOMAD_REPS", 2).max(1);
+    let reps = u64_or("NOMAD_REPS", 2).max(1);
     let specs = SchemeSpec::fig9_set();
     let workloads = WorkloadProfile::all();
     let cells = specs.len() * workloads.len();

@@ -204,6 +204,12 @@ pub struct CacheLevel {
     obs: Option<LevelObs>,
     /// Reused across fills so completing an MSHR allocates nothing.
     fill_scratch: Vec<MemReq>,
+    /// Earliest cycle at which [`tick`](Self::tick) can do anything:
+    /// the incoming head's ready time after the last tick, lowered by
+    /// `push_req` and zeroed ("due now") by `push_resp`. Ticks before
+    /// it would find no fill and no ready lookup, so they return at
+    /// once.
+    wake_at: Cycle,
 }
 
 impl CacheLevel {
@@ -222,6 +228,7 @@ impl CacheLevel {
             stats: CacheLevelStats::default(),
             obs: None,
             fill_scratch: Vec::new(),
+            wake_at: 0,
         }
     }
 
@@ -315,7 +322,9 @@ impl CacheLevel {
             "{}: push without can_accept",
             self.cfg.name
         );
-        self.incoming.push_back((now + self.cfg.hit_latency, req));
+        let ready = now + self.cfg.hit_latency;
+        self.incoming.push_back((ready, req));
+        self.wake_at = self.wake_at.min(ready);
     }
 
     /// Deliver a fill from the lower level; `resp.token` must be the
@@ -323,6 +332,7 @@ impl CacheLevel {
     #[inline]
     pub fn push_resp(&mut self, resp: MemResp) {
         self.resp_in.push_back(resp);
+        self.wake_at = 0;
     }
 
     /// Next request destined for the lower level, if any (peek).
@@ -349,8 +359,23 @@ impl CacheLevel {
 
     /// Advance one cycle: apply fills, then look up ready incoming
     /// requests (up to `ports`).
+    ///
+    /// Returns at once before the level's wake stamp. That skips only
+    /// ticks with nothing due: a head-of-line stall leaves a ready
+    /// head, so a stalled level wakes every cycle and its stall
+    /// counting and stall spans are exactly those of dense ticking.
     #[inline]
     pub fn tick(&mut self, now: Cycle) {
+        if now < self.wake_at {
+            return;
+        }
+        self.tick_body(now);
+    }
+
+    /// The ungated tick: what [`tick`](Self::tick) runs once the wake
+    /// stamp is due, ending with the stamp set to the incoming head's
+    /// ready time.
+    fn tick_body(&mut self, now: Cycle) {
         // 1. Fills from below.
         while let Some(resp) = self.resp_in.pop_front() {
             self.apply_fill(resp, now);
@@ -378,6 +403,10 @@ impl CacheLevel {
         if let Some(obs) = &mut self.obs {
             obs.note_stall_state(stalled, now);
         }
+        self.wake_at = self
+            .incoming
+            .front()
+            .map_or(Cycle::MAX, |&(ready, _)| ready);
     }
 
     /// Look up one request; returns `false` if it must be retried.
@@ -512,6 +541,7 @@ impl CacheLevel {
         self.to_upper.clear();
         self.stats.reset();
         self.fill_scratch.clear();
+        self.wake_at = 0;
     }
 
     /// Whether the level holds no queued work (used by drain loops in
@@ -870,6 +900,121 @@ mod tests {
                     proptest::prop_assert!(level.array == oracle, "surviving lines differ");
                 }
             }
+        }
+    }
+
+    /// One cycle of a random driver schedule: upper-level requests
+    /// `(block, write, dc)` pushed while accepted, a rotation of the
+    /// fills due this cycle, and a flush draw (pages 0 and 1 are
+    /// invalidated when it is below 2).
+    type Step = (Vec<(u64, bool, bool)>, u64, u64);
+
+    proptest::proptest! {
+        /// The wake-stamp gate in `tick` is invisible: a gated level and
+        /// an oracle running `tick_body` every cycle, driven by the same
+        /// random push_req/push_resp schedule (random fill latencies and
+        /// out-of-order fills, so MSHR stalls, merges and writebacks all
+        /// occur), produce identical lower/upper traffic, queues, stats
+        /// and MSHR-stall spans on every cycle.
+        #[test]
+        fn prop_wake_stamp_gate_matches_ungated_ticks(
+            steps in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u64..96, proptest::bool::ANY, proptest::bool::ANY), 0..3),
+                    0u64..1000,
+                    0u64..200,
+                ),
+                1..600,
+            ),
+            latencies in proptest::collection::vec(1u64..90, 1..64),
+        ) {
+            let mk = || {
+                let mut level = CacheLevel::new(mini_cfg());
+                let ring = SpanRing::new(1 << 12);
+                level.attach_obs_full(&Registry::new(), "t", ring.clone(), 0);
+                (level, ring)
+            };
+            let (mut gated, gated_ring) = mk();
+            let (mut oracle, oracle_ring) = mk();
+            let mut lower: Vec<(Cycle, MemReq)> = Vec::new();
+            let mut fetches = 0usize;
+            let steps: Vec<Step> = steps;
+            // Run past the schedule so every in-flight fill lands.
+            let total = steps.len() as Cycle + 400;
+            for now in 0..total {
+                gated.tick(now);
+                oracle.tick_body(now);
+                loop {
+                    let (a, b) = (gated.pop_to_lower(), oracle.pop_to_lower());
+                    proptest::prop_assert_eq!(a, b, "to_lower at {}", now);
+                    let Some(req) = a else { break };
+                    if req.wants_response {
+                        let lat = latencies[fetches % latencies.len()];
+                        fetches += 1;
+                        lower.push((now + lat, req));
+                    }
+                }
+                loop {
+                    let (a, b) = (gated.pop_to_upper(now), oracle.pop_to_upper(now));
+                    proptest::prop_assert_eq!(a, b, "to_upper at {}", now);
+                    if a.is_none() {
+                        break;
+                    }
+                }
+                let step = steps.get(now as usize);
+                // Deliver due fills, starting at a schedule-chosen
+                // rotation so they arrive out of issue order.
+                let mut due: Vec<MemReq> = Vec::new();
+                lower.retain(|&(at, req)| {
+                    let hit = at <= now;
+                    if hit {
+                        due.push(req);
+                    }
+                    !hit
+                });
+                if let (Some((_, order, _)), false) = (step, due.is_empty()) {
+                    let k = (*order as usize) % due.len();
+                    due.rotate_left(k);
+                }
+                for req in due {
+                    gated.push_resp(req.response());
+                    oracle.push_resp(req.response());
+                }
+                if let Some((reqs, _, flush)) = step {
+                    for (i, &(block, write, dc)) in reqs.iter().enumerate() {
+                        proptest::prop_assert_eq!(gated.can_accept(), oracle.can_accept());
+                        if !gated.can_accept() {
+                            break;
+                        }
+                        let target = if dc { MemTarget::DramCache } else { MemTarget::OffPackage };
+                        let token = ReqId(now * 4 + i as u64);
+                        let req = if write {
+                            MemReq::write(token, BlockAddr(block), target, 0)
+                        } else {
+                            MemReq::read(token, BlockAddr(block), target, 0)
+                        };
+                        gated.push_req(req, now);
+                        oracle.push_req(req, now);
+                    }
+                    if *flush < 2 {
+                        proptest::prop_assert_eq!(
+                            gated.invalidate_dc_page(*flush),
+                            oracle.invalidate_dc_page(*flush)
+                        );
+                    }
+                }
+                proptest::prop_assert_eq!(&gated.incoming, &oracle.incoming);
+                proptest::prop_assert_eq!(gated.mshrs.in_use(), oracle.mshrs.in_use());
+                proptest::prop_assert_eq!(
+                    serde_json::to_string(gated.stats()).unwrap(),
+                    serde_json::to_string(oracle.stats()).unwrap()
+                );
+            }
+            proptest::prop_assert!(gated.is_idle() && lower.is_empty(), "schedule must drain");
+            proptest::prop_assert_eq!(
+                format!("{:?}", gated_ring.sorted_spans()),
+                format!("{:?}", oracle_ring.sorted_spans())
+            );
         }
     }
 

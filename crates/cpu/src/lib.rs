@@ -176,6 +176,13 @@ pub struct Core {
     mem_pending: Option<(AccessKind, VirtAddr)>,
     /// OS suspension deadline and reason.
     os_stall: Option<(Cycle, OsStallReason)>,
+    /// Set by a tick that committed nothing and left the core
+    /// `quiescent`; cleared by every call that can end quiescence
+    /// (`mem_done`, `reset_with_trace`) or OS-stall the core
+    /// (`stall_os`). While set, a tick is pure `stall_mem` accounting
+    /// and skips the commit/fetch probes. An asleep core is never
+    /// OS-stalled, so `wake_os` leaves the flag alone.
+    asleep: bool,
     stats: CoreStats,
     /// Sampled observability gauges (`None` unless the obs layer is on).
     obs: Option<CoreObs>,
@@ -212,6 +219,7 @@ impl Core {
             gap_left: 0,
             mem_pending: None,
             os_stall: None,
+            asleep: false,
             stats: CoreStats::default(),
             obs: None,
         }
@@ -233,6 +241,7 @@ impl Core {
         self.gap_left = 0;
         self.mem_pending = None;
         self.os_stall = None;
+        self.asleep = false;
         self.stats = CoreStats::default();
     }
 
@@ -306,6 +315,7 @@ impl Core {
     /// Longer of two overlapping stalls wins.
     #[inline]
     pub fn stall_os(&mut self, until: Cycle, reason: OsStallReason) {
+        self.asleep = false;
         match self.os_stall {
             Some((cur, _)) if cur >= until => {}
             _ => self.os_stall = Some((until, reason)),
@@ -350,6 +360,7 @@ impl Core {
         let idx = slot.wrapping_sub(self.mem_head_slot);
         assert!(idx < self.mem_live as u64, "mem_done for unknown slot");
         self.mem_done_bits |= 1 << idx;
+        self.asleep = false;
     }
 
     /// Number of in-flight memory operations (dispatched or queued).
@@ -361,6 +372,17 @@ impl Core {
     #[inline]
     pub fn tick(&mut self, now: Cycle) {
         self.stats.cycles.inc();
+
+        // A sleeping core is quiescent (and not OS-stalled: `stall_os`
+        // wakes it), so this tick would commit and fetch nothing.
+        if self.asleep {
+            debug_assert!(
+                self.os_stall.is_none() && self.quiescent(),
+                "asleep core is OS-stalled or not quiescent"
+            );
+            self.stats.stall_mem.inc();
+            return;
+        }
 
         // OS suspension freezes the whole core.
         if let Some((until, reason)) = self.os_stall {
@@ -381,6 +403,7 @@ impl Core {
             self.stats.busy.inc();
         } else if self.head_waits_on_mem() {
             self.stats.stall_mem.inc();
+            self.asleep = self.fetch_blocked();
         } else {
             self.stats.stall_frontend.inc();
         }
@@ -503,11 +526,16 @@ impl Core {
     /// the LSQ is full). Every escape from this state goes through an
     /// external call (`mem_done`, `wake_os`).
     fn quiescent(&self) -> bool {
-        let fetch_blocked = self.rob_occupancy >= self.cfg.rob_size
+        self.head_waits_on_mem() && self.fetch_blocked()
+    }
+
+    /// Whether fetch cannot place a single instruction: the ROB is
+    /// full, or the pending record is a memory op and the LSQ is full.
+    fn fetch_blocked(&self) -> bool {
+        self.rob_occupancy >= self.cfg.rob_size
             || (self.gap_left == 0
                 && self.mem_pending.is_some()
-                && self.mem_live as usize >= self.cfg.max_outstanding_mem);
-        self.head_waits_on_mem() && fetch_blocked
+                && self.mem_live as usize >= self.cfg.max_outstanding_mem)
     }
 
     /// Bulk-account `delta` skipped cycles exactly as dense ticking
@@ -821,6 +849,81 @@ mod tests {
         run(&mut dense, 2_000, 30);
         run_event(&mut event, 2_000, 30);
         assert_same_stats(dense.stats(), event.stats());
+    }
+
+    /// splitmix64 step, for a dependency-free seeded stream.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A sleeping core must be indistinguishable from an always-awake
+    /// oracle (whose `asleep` flag is cleared after every tick) under
+    /// random out-of-order load completions and OS stalls and wakes:
+    /// identical dispatches and identical counters on every cycle.
+    #[test]
+    fn sleeping_core_matches_always_awake_oracle() {
+        let mixes: Vec<Vec<TraceRecord>> = vec![
+            vec![rec(0, AccessKind::Read, 0x1000)],
+            vec![
+                rec(3, AccessKind::Read, 0x40),
+                rec(0, AccessKind::Write, 0x80),
+                rec(40, AccessKind::Read, 0xc0),
+            ],
+        ];
+        for (seed, mix_recs) in mixes.into_iter().enumerate() {
+            let mut rng = seed as u64 + 1;
+            let mut sleepy = core_with(mix_recs.clone());
+            let mut awake = core_with(mix_recs);
+            let mut inflight: Vec<(Cycle, u64)> = Vec::new();
+            let mut slept = 0u64;
+            for now in 0..30_000 {
+                sleepy.tick(now);
+                awake.tick(now);
+                awake.asleep = false;
+                slept += sleepy.asleep as u64;
+                loop {
+                    let (a, b) = (sleepy.pop_dispatch(), awake.pop_dispatch());
+                    assert_eq!(a, b, "dispatch diverged at cycle {now}");
+                    let Some(op) = a else { break };
+                    if op.kind == AccessKind::Read {
+                        inflight.push((now + 1 + mix(&mut rng) % 300, op.slot));
+                    }
+                }
+                // Complete due loads in random order.
+                let mut i = 0;
+                while i < inflight.len() {
+                    if inflight[i].0 <= now && mix(&mut rng).is_multiple_of(2) {
+                        let (_, slot) = inflight.swap_remove(i);
+                        sleepy.mem_done(slot);
+                        awake.mem_done(slot);
+                    } else {
+                        i += 1;
+                    }
+                }
+                match mix(&mut rng) % 2000 {
+                    0 => {
+                        let until = now + 1 + mix(&mut rng) % 200;
+                        sleepy.stall_os(until, OsStallReason::BlockingFill);
+                        awake.stall_os(until, OsStallReason::BlockingFill);
+                    }
+                    1 => {
+                        sleepy.stall_os(Cycle::MAX, OsStallReason::TagMiss);
+                        awake.stall_os(Cycle::MAX, OsStallReason::TagMiss);
+                    }
+                    2..=9 => {
+                        sleepy.wake_os();
+                        awake.wake_os();
+                    }
+                    _ => {}
+                }
+                assert_same_stats(sleepy.stats(), awake.stats());
+            }
+            assert!(slept > 1000, "mix {seed}: the core must actually sleep");
+        }
     }
 
     #[test]

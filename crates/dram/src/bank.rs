@@ -71,8 +71,10 @@ impl BankFile {
     }
 
     /// Whether a CAS to `row` on bank `b` can issue at `now` without
-    /// ACT/PRE.
-    #[inline]
+    /// ACT/PRE. The scheduler reads the same condition off
+    /// [`cas_ready_mask`](Self::cas_ready_mask) plus a row compare; this
+    /// per-command form serves the dense test oracle.
+    #[cfg(test)]
     pub fn can_cas(&self, b: usize, row: u64, now: u64) -> bool {
         self.open_row(b) == Some(row) && now >= self.cas_at[b]
     }

@@ -1,35 +1,42 @@
-//! One DRAM channel: command queue, FR-FCFS scheduler, data bus and
-//! refresh.
+//! One DRAM channel: per-bank command queues, FR-FCFS scheduler, data
+//! bus and refresh.
 //!
-//! # Masked FR-FCFS
+//! # Per-bank FR-FCFS
 //!
-//! The scheduler runs every device cycle, so both selection passes are
-//! pruned with bit-masks over banks (at most 64 per channel, enforced by
-//! [`BankFile`]):
+//! Queued commands live in one slab of `queue_depth` slots, allocated
+//! once in [`Channel::new`]. Live slots are threaded into one FIFO list
+//! per bank through slot indices; free slots form a free list through
+//! the same link. Every command carries a global *arrival number*, so
+//! the age order FR-FCFS needs across banks is a comparison of two
+//! numbers rather than a position in one shared queue. `queued_mask`
+//! has bit `b` set while bank `b`'s list is non-empty (at most 64
+//! banks per channel, enforced by [`BankFile`]).
 //!
-//! - `queued_mask` — bit `b` set while any queued command targets bank
-//!   `b`; maintained incrementally by push/pop with a per-bank count.
-//! - pass 1 intersects it with [`BankFile::cas_ready_mask`]: a command
-//!   is only inspected when its bank is open and past its CAS timing,
-//!   which is a necessary condition for `can_cas`.
-//! - pass 2 tracks the classic `protected`/`attempted` sets as words
-//!   and skips any command whose bank is already in either set; once
-//!   `queued_mask & !(attempted | protected)` is empty no remaining
-//!   command can issue and the scan stops. This is behaviour-preserving
-//!   because the dense scan gates PRE on `!attempted && !protected` and
-//!   ACT on `!attempted` (a bank with a closed row is never protected),
-//!   and commands on attempted banks have no side effects.
+//! - Pass 1 (first ready): a command can CAS only when its bank is
+//!   open and past its CAS timing, so only banks in
+//!   `cas_ready_mask & queued_mask` are walked. Each walk stops at the
+//!   bank's first bus-legal row hit (or at the first command younger
+//!   than the best found so far), and the smallest arrival number
+//!   among those issues — the oldest issuable row hit, as a scan of
+//!   one arrival-ordered queue would find.
+//! - Pass 2 (first come): each bank is decided by its oldest queued
+//!   command. A head whose row is open is waiting on tCCD or the bus
+//!   and protects its bank from precharge; a head on a conflicting row
+//!   asks for PRE, one on a closed bank for ACT. The oldest head that
+//!   can PRE or ACT issues. This is the old whole-queue scan's rule
+//!   (which gated PRE on `!attempted && !protected` and ACT on
+//!   `!attempted`) without visiting any command behind a bank head.
 //!
 //! The pre-refactor dense scan is kept under `#[cfg(test)]` as
-//! [`Channel::tick_device_oracle`] and a seeded differential test pins
-//! the masked scheduler to it cycle by cycle.
+//! [`Channel::tick_device_oracle`]. It walks every command in arrival
+//! order (the bank lists merged by arrival number), and a seeded
+//! differential test pins the scheduler to it cycle by cycle.
 
 use crate::bank::BankFile;
 use crate::config::{DramConfig, TimingParams};
 use crate::device::Probe;
 use crate::stats::DramStats;
 use nomad_types::{AccessKind, ReqId, TrafficClass};
-use std::collections::VecDeque;
 
 /// Error returned by [`Channel::try_push`] when the command queue is
 /// full; the caller must retry later (backpressure).
@@ -44,7 +51,10 @@ impl core::fmt::Display for QueuePushError {
 
 impl std::error::Error for QueuePushError {}
 
-#[derive(Debug, Clone)]
+/// End-of-list marker for slot links.
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy)]
 struct QueuedCmd {
     token: ReqId,
     bank: usize,
@@ -59,6 +69,28 @@ struct QueuedCmd {
     /// Whether this request had to activate its row (row miss) — set
     /// when the scheduler ACTs on its behalf.
     needed_act: bool,
+    /// Channel-wide arrival number: FR-FCFS age order across banks.
+    arrival: u64,
+    /// Next slot in this bank's list (or in the free list), [`NIL`] at
+    /// the end.
+    next: u32,
+}
+
+impl QueuedCmd {
+    /// Contents of a free slot; overwritten by every push.
+    const VACANT: QueuedCmd = QueuedCmd {
+        token: ReqId(0),
+        bank: 0,
+        row: 0,
+        kind: AccessKind::Read,
+        class: TrafficClass::DemandRead,
+        wants_completion: false,
+        push_cpu: 0,
+        probe: Probe::Data,
+        needed_act: false,
+        arrival: 0,
+        next: NIL,
+    };
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,11 +113,18 @@ pub(crate) struct ChannelCompletion {
 #[derive(Debug)]
 pub(crate) struct Channel {
     banks: BankFile,
-    queue: VecDeque<QueuedCmd>,
-    queue_depth: usize,
-    /// Queued commands per bank, backing `queued_mask`.
-    queued_count: Vec<u32>,
-    /// Bit `b` set while `queued_count[b] > 0`.
+    /// Command slab of `queue_depth` slots (see the module docs).
+    slots: Vec<QueuedCmd>,
+    /// First and last slot of each bank's FIFO, [`NIL`] when empty.
+    bank_head: Vec<u32>,
+    bank_tail: Vec<u32>,
+    /// First free slot, [`NIL`] when the queue is full.
+    free: u32,
+    /// Queued commands.
+    len: usize,
+    /// Arrival number of the next pushed command.
+    next_arrival: u64,
+    /// Bit `b` set while bank `b`'s list is non-empty.
     queued_mask: u64,
     /// Device cycle after which the data bus is free.
     bus_free_at: u64,
@@ -114,11 +153,15 @@ const BOUND_DIRTY: u64 = u64::MAX;
 
 impl Channel {
     pub fn new(cfg: &DramConfig) -> Self {
-        Channel {
+        assert!(cfg.queue_depth < NIL as usize, "slot index overflows u32");
+        let mut ch = Channel {
             banks: BankFile::new(cfg.banks_per_channel),
-            queue: VecDeque::with_capacity(cfg.queue_depth),
-            queue_depth: cfg.queue_depth,
-            queued_count: vec![0; cfg.banks_per_channel],
+            slots: vec![QueuedCmd::VACANT; cfg.queue_depth],
+            bank_head: vec![NIL; cfg.banks_per_channel],
+            bank_tail: vec![NIL; cfg.banks_per_channel],
+            free: NIL,
+            len: 0,
+            next_arrival: 0,
             queued_mask: 0,
             bus_free_at: 0,
             next_act_ok: 0,
@@ -127,7 +170,23 @@ impl Channel {
             refresh_until: None,
             timing: cfg.timing,
             bound_cache: std::cell::Cell::new(BOUND_DIRTY),
+        };
+        ch.clear_queue();
+        ch
+    }
+
+    /// Empty every bank list and thread all slots onto the free list.
+    fn clear_queue(&mut self) {
+        let n = self.slots.len() as u32;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            slot.next = if i as u32 + 1 < n { i as u32 + 1 } else { NIL };
         }
+        self.free = if n > 0 { 0 } else { NIL };
+        self.bank_head.fill(NIL);
+        self.bank_tail.fill(NIL);
+        self.len = 0;
+        self.next_arrival = 0;
+        self.queued_mask = 0;
     }
 
     /// Return the channel to its just-constructed state (empty queue,
@@ -135,9 +194,7 @@ impl Channel {
     /// allocation — the arena-reuse path between sweep cells.
     pub fn reset(&mut self) {
         self.banks.reset();
-        self.queue.clear();
-        self.queued_count.fill(0);
-        self.queued_mask = 0;
+        self.clear_queue();
         self.bus_free_at = 0;
         self.next_act_ok = 0;
         self.act_window = [0; 4];
@@ -156,15 +213,15 @@ impl Channel {
 
     /// Whether there is room for one more command.
     pub fn can_accept(&self) -> bool {
-        self.queue.len() < self.queue_depth
+        self.free != NIL
     }
 
     /// Current queue occupancy.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.len
     }
 
-    /// Enqueue a decoded command.
+    /// Enqueue a decoded command at the tail of its bank's list.
     #[allow(clippy::too_many_arguments)]
     pub fn try_push(
         &mut self,
@@ -177,10 +234,12 @@ impl Channel {
         push_cpu: u64,
         probe: Probe,
     ) -> Result<(), QueuePushError> {
-        if !self.can_accept() {
+        let s = self.free;
+        if s == NIL {
             return Err(QueuePushError);
         }
-        self.queue.push_back(QueuedCmd {
+        self.free = self.slots[s as usize].next;
+        self.slots[s as usize] = QueuedCmd {
             token,
             bank,
             row,
@@ -190,21 +249,38 @@ impl Channel {
             push_cpu,
             probe,
             needed_act: false,
-        });
-        self.queued_count[bank] += 1;
+            arrival: self.next_arrival,
+            next: NIL,
+        };
+        self.next_arrival += 1;
+        match self.bank_tail[bank] {
+            NIL => self.bank_head[bank] = s,
+            tail => self.slots[tail as usize].next = s,
+        }
+        self.bank_tail[bank] = s;
+        self.len += 1;
         self.queued_mask |= 1u64 << bank;
         self.touch();
         Ok(())
     }
 
-    /// Remove the queued command at `i`, keeping the occupancy mask in
-    /// sync.
-    fn take_queued(&mut self, i: usize) -> QueuedCmd {
-        let cmd = self.queue.remove(i).expect("index valid");
-        self.queued_count[cmd.bank] -= 1;
-        if self.queued_count[cmd.bank] == 0 {
-            self.queued_mask &= !(1u64 << cmd.bank);
+    /// Unlink slot `s` (preceded by `prev`, or [`NIL`] at the head)
+    /// from `bank`'s list, free it, and return its command.
+    fn take_queued(&mut self, bank: usize, prev: u32, s: u32) -> QueuedCmd {
+        let cmd = self.slots[s as usize];
+        match prev {
+            NIL => self.bank_head[bank] = cmd.next,
+            p => self.slots[p as usize].next = cmd.next,
         }
+        if self.bank_tail[bank] == s {
+            self.bank_tail[bank] = prev;
+        }
+        if self.bank_head[bank] == NIL {
+            self.queued_mask &= !(1u64 << bank);
+        }
+        self.slots[s as usize].next = self.free;
+        self.free = s;
+        self.len -= 1;
         cmd
     }
 
@@ -247,11 +323,19 @@ impl Channel {
         false
     }
 
-    /// Issue the row-hit CAS queued at `i` and record its completion.
-    fn issue_cas(&mut self, i: usize, now: u64, out: &mut Vec<ChannelCompletion>) {
+    /// Issue the row-hit CAS in slot `s` of `bank`'s list (preceded by
+    /// `prev`) and record its completion.
+    fn issue_cas(
+        &mut self,
+        bank: usize,
+        prev: u32,
+        s: u32,
+        now: u64,
+        out: &mut Vec<ChannelCompletion>,
+    ) {
         let t = self.timing;
         self.touch();
-        let cmd = self.take_queued(i);
+        let cmd = self.take_queued(bank, prev, s);
         let data_start = match cmd.kind {
             AccessKind::Read => {
                 self.banks.read(cmd.bank, now, &t);
@@ -283,8 +367,8 @@ impl Channel {
     }
 
     /// Advance one device cycle: maybe start/finish a refresh, then try
-    /// to issue at most one command (FR-FCFS: first ready row-hit CAS,
-    /// else prepare the oldest request).
+    /// to issue at most one command (FR-FCFS: oldest ready row-hit CAS,
+    /// else prepare a bank for the oldest bank head that can move).
     pub fn tick_device(
         &mut self,
         now: u64,
@@ -296,93 +380,89 @@ impl Channel {
         }
         // With no refresh pending this cycle and nothing queued, the
         // scheduler has nothing to do.
-        if self.queue.is_empty() {
+        if self.queued_mask == 0 {
             return;
         }
 
         // FR-FCFS pass 1: oldest CAS-ready row hit whose bus slot is
-        // free. A command is only worth inspecting when its bank is in
-        // `candidates` (open, past CAS timing, and actually queued). No
-        // command is while the bus frees after even the later of a
-        // read's (tCL) and a write's (tCWL) data-burst start.
+        // free. Only banks in `candidates` (open, past CAS timing, and
+        // actually queued) can hold one. None does while the bus frees
+        // after even the later of a read's (tCL) and a write's (tCWL)
+        // data-burst start.
         let t = self.timing;
-        let bus_ok = now + t.t_cl.max(t.t_cwl) >= self.bus_free_at;
-        let candidates = if bus_ok {
+        let read_ok = now + t.t_cl >= self.bus_free_at;
+        let write_ok = now + t.t_cwl >= self.bus_free_at;
+        let candidates = if read_ok || write_ok {
             self.banks.cas_ready_mask(now) & self.queued_mask
         } else {
             0
         };
-        if candidates != 0 {
-            let mut cas_idx = None;
-            for (i, cmd) in self.queue.iter().enumerate() {
-                if candidates & (1u64 << cmd.bank) == 0 {
-                    continue;
+        // (arrival, bank, prev slot, slot) of the oldest issuable hit.
+        let mut hit: Option<(u64, usize, u32, u32)> = None;
+        let mut m = candidates;
+        while m != 0 {
+            let b = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let Some(open) = self.banks.open_row(b) else {
+                continue;
+            };
+            let mut prev = NIL;
+            let mut s = self.bank_head[b];
+            while s != NIL {
+                let cmd = &self.slots[s as usize];
+                if hit.is_some_and(|(oldest, ..)| cmd.arrival > oldest) {
+                    break; // every later command on this bank is younger
                 }
-                if self.banks.can_cas(cmd.bank, cmd.row, now) {
-                    let data_start = match cmd.kind {
-                        AccessKind::Read => now + t.t_cl,
-                        AccessKind::Write => now + t.t_cwl,
-                    };
-                    if data_start >= self.bus_free_at {
-                        cas_idx = Some(i);
-                        break;
-                    }
+                let bus_ok = match cmd.kind {
+                    AccessKind::Read => read_ok,
+                    AccessKind::Write => write_ok,
+                };
+                if cmd.row == open && bus_ok {
+                    hit = Some((cmd.arrival, b, prev, s));
+                    break;
                 }
-            }
-            if let Some(i) = cas_idx {
-                self.issue_cas(i, now, out);
-                return;
+                prev = s;
+                s = cmd.next;
             }
         }
+        if let Some((_, b, prev, s)) = hit {
+            self.issue_cas(b, prev, s, now, out);
+            return;
+        }
 
-        // FR-FCFS pass 2: prepare a bank for the oldest request that
-        // can make progress. Scanning past blocked requests (instead of
-        // stopping at the oldest) is what exposes bank-level
-        // parallelism; banks whose open row an older request still
-        // needs are protected from precharge (no row stealing). Each
-        // bank is decided by its oldest queued command, so once every
-        // queued bank is attempted or protected the scan stops.
+        // FR-FCFS pass 2: prepare a bank for the oldest bank head that
+        // can make progress. Considering every bank (instead of only
+        // the oldest request's) is what exposes bank-level
+        // parallelism; a head whose open row it still needs protects
+        // its bank from precharge (no row stealing).
         let act_ok = self.act_allowed(now);
-        // The command found: (queue index, bank, `Some(row)` to
-        // activate or `None` to precharge).
-        let mut prepare = None;
-        let mut protected: u64 = 0; // open rows older requests rely on
-        let mut attempted: u64 = 0; // banks already considered
-        for (i, cmd) in self.queue.iter().enumerate() {
-            let remaining = self.queued_mask & !(attempted | protected);
-            if remaining == 0 {
-                break;
-            }
-            let bit = 1u64 << cmd.bank;
-            if remaining & bit == 0 {
+        // (arrival, bank, `Some(row)` to activate or `None` to
+        // precharge) of the oldest head that can move.
+        let mut prepare: Option<(u64, usize, Option<u64>)> = None;
+        let mut m = self.queued_mask;
+        while m != 0 {
+            let b = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let head = &self.slots[self.bank_head[b] as usize];
+            if prepare.is_some_and(|(oldest, ..)| head.arrival > oldest) {
                 continue;
             }
-            match self.banks.open_row(cmd.bank) {
-                Some(open) if open == cmd.row => {
-                    // Row already open; waiting on tCCD or the bus.
-                    protected |= bit;
-                }
-                Some(_) => {
-                    if self.banks.can_pre(cmd.bank, now) {
-                        prepare = Some((i, cmd.bank, None));
-                        break;
-                    }
-                    attempted |= bit;
-                }
-                None => {
-                    if self.banks.can_act(cmd.bank, now) && act_ok {
-                        prepare = Some((i, cmd.bank, Some(cmd.row)));
-                        break;
-                    }
-                    attempted |= bit;
-                }
+            let action = match self.banks.open_row(b) {
+                // Row already open; waiting on tCCD or the bus.
+                Some(open) if open == head.row => None,
+                Some(_) => self.banks.can_pre(b, now).then_some(None),
+                None => (act_ok && self.banks.can_act(b, now)).then_some(Some(head.row)),
+            };
+            if let Some(row) = action {
+                prepare = Some((head.arrival, b, row));
             }
         }
         match prepare {
             Some((_, bank, None)) => self.banks.pre(bank, now, &t),
-            Some((i, bank, Some(row))) => {
+            Some((_, bank, Some(row))) => {
                 self.banks.act(bank, row, now, &t);
-                self.queue[i].needed_act = true;
+                let head = self.bank_head[bank] as usize;
+                self.slots[head].needed_act = true;
                 self.note_act(now);
             }
             None => return,
@@ -390,8 +470,37 @@ impl Channel {
         self.touch();
     }
 
-    /// The pre-refactor dense FR-FCFS scan, kept verbatim as a parity
-    /// oracle for [`tick_device`](Self::tick_device).
+    /// `(bank, slot)` of every queued command in arrival order: the
+    /// bank lists merged by arrival number.
+    #[cfg(test)]
+    fn arrival_order(&self) -> Vec<(usize, u32)> {
+        let mut order = Vec::with_capacity(self.len);
+        for (b, &head) in self.bank_head.iter().enumerate() {
+            let mut s = head;
+            while s != NIL {
+                order.push((b, s));
+                s = self.slots[s as usize].next;
+            }
+        }
+        order.sort_by_key(|&(_, s)| self.slots[s as usize].arrival);
+        order
+    }
+
+    /// The slot before `s` in `bank`'s list ([`NIL`] for the head).
+    #[cfg(test)]
+    fn prev_in_bank(&self, bank: usize, s: u32) -> u32 {
+        let mut prev = NIL;
+        let mut cur = self.bank_head[bank];
+        while cur != s {
+            prev = cur;
+            cur = self.slots[cur as usize].next;
+        }
+        prev
+    }
+
+    /// The pre-refactor dense FR-FCFS scan, kept as a parity oracle for
+    /// [`tick_device`](Self::tick_device): the same rules over every
+    /// queued command, walked in arrival order.
     #[cfg(test)]
     pub(crate) fn tick_device_oracle(
         &mut self,
@@ -402,24 +511,27 @@ impl Channel {
         if self.tick_refresh(now, stats) {
             return;
         }
+        let order = self.arrival_order();
 
         // Pass 1: linear scan over every queued command.
         let t = self.timing;
-        let mut cas_idx = None;
-        for (i, cmd) in self.queue.iter().enumerate() {
+        let mut cas = None;
+        for &(bank, s) in &order {
+            let cmd = &self.slots[s as usize];
             if self.banks.can_cas(cmd.bank, cmd.row, now) {
                 let data_start = match cmd.kind {
                     AccessKind::Read => now + t.t_cl,
                     AccessKind::Write => now + t.t_cwl,
                 };
                 if data_start >= self.bus_free_at {
-                    cas_idx = Some(i);
+                    cas = Some((bank, s));
                     break;
                 }
             }
         }
-        if let Some(i) = cas_idx {
-            self.issue_cas(i, now, out);
+        if let Some((bank, s)) = cas {
+            let prev = self.prev_in_bank(bank, s);
+            self.issue_cas(bank, prev, s, now, out);
             return;
         }
 
@@ -427,11 +539,8 @@ impl Channel {
         let act_ok = self.act_allowed(now);
         let mut protected: u64 = 0;
         let mut attempted: u64 = 0;
-        for i in 0..self.queue.len() {
-            let (bank_idx, row) = {
-                let cmd = &self.queue[i];
-                (cmd.bank, cmd.row)
-            };
+        for &(bank_idx, s) in &order {
+            let row = self.slots[s as usize].row;
             let bit = 1u64 << (bank_idx & 63);
             match self.banks.open_row(bank_idx) {
                 Some(open) if open == row => {
@@ -451,7 +560,7 @@ impl Channel {
                 None => {
                     if attempted & bit == 0 && self.banks.can_act(bank_idx, now) && act_ok {
                         self.banks.act(bank_idx, row, now, &t);
-                        self.queue[i].needed_act = true;
+                        self.slots[s as usize].needed_act = true;
                         self.note_act(now);
                         self.touch();
                         return;
@@ -476,7 +585,7 @@ impl Channel {
     /// mismatches). Landing early costs one no-op tick; landing late
     /// would break dense/event parity.
     pub fn next_interesting_dev_cycle(&self, after: u64) -> Option<u64> {
-        if self.queue.is_empty() {
+        if self.queued_mask == 0 {
             return None;
         }
         // Mid-refresh the scheduler is frozen; nothing before `until`.
@@ -495,12 +604,21 @@ impl Channel {
             .max(self.bus_free_at);
         let t = self.timing;
         let act_gate = self.next_act_ok.max(self.act_window[0]);
-        for cmd in &self.queue {
-            if next <= after + 1 {
-                break; // can't get earlier than the next cycle
-            }
-            let cand = match self.banks.open_row(cmd.bank) {
-                Some(open) if open == cmd.row => {
+        let mut banks = self.queued_mask;
+        // Stop once nothing can be earlier than the next cycle.
+        while banks != 0 && next > after + 1 {
+            let b = banks.trailing_zeros() as usize;
+            banks &= banks - 1;
+            let Some(open) = self.banks.open_row(b) else {
+                // Closed bank: every command would ACT, gated by tRRD
+                // and the tFAW window.
+                next = next.min(self.banks.act_ready_at(b).max(act_gate));
+                continue;
+            };
+            let mut s = self.bank_head[b];
+            while s != NIL && next > after + 1 {
+                let cmd = &self.slots[s as usize];
+                let cand = if cmd.row == open {
                     // CAS: bank CAS timing plus the data-bus gate
                     // (data_start = now + tCL/tCWL must be ≥ bus_free_at).
                     let lead = match cmd.kind {
@@ -508,20 +626,20 @@ impl Channel {
                         AccessKind::Write => t.t_cwl,
                     };
                     self.banks
-                        .cas_ready_at(cmd.bank)
+                        .cas_ready_at(b)
                         .max(self.bus_free_at.saturating_sub(lead))
-                }
-                // Row conflict: the scheduler would PRE this bank.
-                Some(_) => self.banks.pre_ready_at(cmd.bank),
-                // Closed bank: ACT, gated by tRRD and the tFAW window.
-                None => self.banks.act_ready_at(cmd.bank).max(act_gate),
-            };
-            next = next.min(cand);
+                } else {
+                    // Row conflict: the scheduler would PRE this bank.
+                    self.banks.pre_ready_at(b)
+                };
+                next = next.min(cand);
+                s = cmd.next;
+            }
         }
         // An early-exited scan may memoize a value below the true
-        // minimum; re-reads then clamp to `after + 1` — an *early*
-        // answer, which the kernel contract tolerates (one no-op
-        // wake), never a late one.
+        // minimum, but never above `after + 1`; re-reads then clamp to
+        // `after + 1` — an *early* answer, which the kernel contract
+        // tolerates (one no-op wake), never a late one.
         self.bound_cache.set(next);
         Some(next.max(after + 1))
     }
@@ -537,10 +655,7 @@ impl Channel {
     /// cycle by cycle. Produces bit-identical state and stats to dense
     /// ticking over the same window.
     pub fn replay_idle_refreshes(&mut self, from: u64, to: u64, stats: &mut DramStats) {
-        debug_assert!(
-            self.queue.is_empty(),
-            "idle refresh replay with queued work"
-        );
+        debug_assert!(self.len == 0, "idle refresh replay with queued work");
         let mut cur = from;
         loop {
             // Next device cycle at which a dense tick would do
@@ -883,6 +998,16 @@ mod tests {
             assert!(!out_fast.is_empty(), "traffic must complete something");
             assert_eq!(fast.queue_len(), dense.queue_len());
             assert_eq!(fast.queued_mask, dense.queued_mask);
+            let residual = |ch: &Channel| -> Vec<(u64, bool)> {
+                ch.arrival_order()
+                    .into_iter()
+                    .map(|(_, s)| {
+                        let cmd = &ch.slots[s as usize];
+                        (cmd.token.0, cmd.needed_act)
+                    })
+                    .collect()
+            };
+            assert_eq!(residual(&fast), residual(&dense));
             assert_eq!(stats_fast.refreshes.get(), stats_dense.refreshes.get());
         }
     }

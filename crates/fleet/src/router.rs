@@ -273,8 +273,11 @@ fn worker_loop(t: usize, state: &RunState, cancel: &CancelToken) {
             continue;
         }
         let home = alive[t % alive.len()];
-        // Home work first…
-        if let Some(item) = state.queues[home].lock().expect("queue lock").pop_front() {
+        // Home work first… Popped in its own statement: in the `if let`
+        // the guard would live through `run_item`, whose failover of
+        // the home node (`fail_node`) locks this queue again.
+        let next = state.queues[home].lock().expect("queue lock").pop_front();
+        if let Some(item) = next {
             let outcome = run_item(&item, home, state, &mut conns, cancel);
             finish(state, item.idx, outcome, cancel);
             continue;

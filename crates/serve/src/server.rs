@@ -1,8 +1,8 @@
 //! The TCP server: accept loop, connection handlers, and lifecycle.
 //!
-//! One thread accepts connections (non-blocking, polling the shutdown
-//! flag); each connection gets a handler thread speaking the
-//! line-delimited JSON protocol of [`crate::proto`]. `Submit`
+//! One thread blocks in `accept` (shutdown wakes it by connecting to
+//! the server's own address); each connection gets a handler thread
+//! speaking the line-delimited JSON protocol of [`crate::proto`]. `Submit`
 //! consults the result cache, enqueues on a miss, and blocks the
 //! connection until the job resolves — so a connection is one lane of
 //! synchronous requests, and concurrency comes from opening more
@@ -23,7 +23,7 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::stats::ServiceStats;
 use crate::worker::{Job, Resolve, WorkerPool};
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -71,6 +71,10 @@ struct Shared {
     cache: Arc<ResultCache>,
     stats: Arc<ServiceStats>,
     shutdown: AtomicBool,
+    /// Where [`initiate_shutdown`](Self::initiate_shutdown) connects to
+    /// wake the blocked accept loop: the bound address, with an
+    /// unspecified IP replaced by loopback.
+    wake_addr: SocketAddr,
     workers: usize,
     overload: OverloadConfig,
 }
@@ -129,9 +133,14 @@ impl Shared {
         }
     }
 
-    /// Close the queue and fail everything still waiting in it.
+    /// Close the queue, fail everything still waiting in it, and wake
+    /// the accept loop so it sees the flag and returns.
     fn initiate_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            // The accept loop is blocked in `accept`; one connection
+            // wakes it. Failure means it is already gone.
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
         self.queue.close();
         for job in self.queue.drain_now() {
             let failure = Err(JobFailure {
@@ -206,13 +215,20 @@ pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
     crate::mirror_faults_to_obs();
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let mut wake_addr = addr;
+    if addr.ip().is_unspecified() {
+        wake_addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
 
     let shared = Arc::new(Shared {
         queue: Arc::new(BoundedQueue::new(cfg.queue_capacity)),
         cache: Arc::new(ResultCache::with_dir(cfg.cache_dir.clone())),
         stats: Arc::new(ServiceStats::new(cfg.workers)),
         shutdown: AtomicBool::new(false),
+        wake_addr,
         workers: cfg.workers,
         overload: cfg.overload.clone(),
     });
@@ -244,24 +260,20 @@ pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
+    for conn in listener.incoming() {
+        // `initiate_shutdown` sets the flag before its wake-up
+        // connection, so that connection (and any accepted after the
+        // flag) gets no handler.
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
-                    .name("nomad-serve-conn".into())
-                    .spawn(move || {
-                        let _ = handle_connection(stream, shared);
-                    });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => return,
-        }
+        let Ok(stream) = conn else { return };
+        let shared = Arc::clone(&shared);
+        let _ = std::thread::Builder::new()
+            .name("nomad-serve-conn".into())
+            .spawn(move || {
+                let _ = handle_connection(stream, shared);
+            });
     }
 }
 

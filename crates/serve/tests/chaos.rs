@@ -386,6 +386,53 @@ fn fleet_dead_node_arc_reassigned() {
     });
 }
 
+/// The ladder, not the heartbeat, declares a worker's *home* node
+/// dead: the worker popped the cell from that node's queue, and
+/// failover drains the same queue. The pop must have released the
+/// queue's lock by then, or the worker deadlocks and the grid never
+/// finishes. A heartbeat too slow to fire leaves the ladder as the only
+/// detector, and one router worker makes the dead node 0 its home.
+#[test]
+fn fleet_ladder_fails_over_the_home_node() {
+    with_plan(None, || {
+        let cells = grid(&[60, 100, 110, 130, 150, 40]);
+        assert!(
+            owners(&cells, 2).contains(&0),
+            "seed choice: node 0 must own part of this grid"
+        );
+        let expected = expected_jsons(&cells);
+        // Bind-then-drop guarantees the port is currently closed.
+        let dead_addr = {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            listener.local_addr().expect("addr").to_string()
+        };
+        let live = test_server(None);
+        let addrs = vec![dead_addr, live.local_addr().to_string()];
+        let cfg = nomad_fleet::FleetConfig {
+            client: ClientConfig {
+                reconnect_attempts: 1,
+                ..fast_cfg()
+            },
+            heartbeat_interval: Duration::from_secs(3600),
+            ..fast_fleet_cfg()
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let router = std::thread::spawn(move || {
+            let out =
+                nomad_fleet::run_grid_via_fleet_with(&addrs, cells, 1, &CancelToken::new(), cfg);
+            let _ = tx.send(out);
+        });
+        let reports = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("router deadlocked failing over its home node")
+            .expect("failover saves the grid");
+        router.join().expect("router thread");
+        let got: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
+        assert_eq!(got, expected, "failover must be byte-identical");
+        live.shutdown();
+    });
+}
+
 /// A node killed *mid-sweep* (after it completed at least one job):
 /// heartbeats and the ladder race to declare it dead, its remaining
 /// cells re-route, and the rows still come back byte-identical.

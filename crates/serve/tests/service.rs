@@ -237,3 +237,49 @@ fn grid_via_service_matches_in_process_grid() {
     }
     handle.shutdown();
 }
+
+/// Run `f` on its own thread; fail the test if it has not returned
+/// within `limit` (a hung shutdown fails instead of hanging the suite).
+fn returns_within(limit: Duration, what: &str, f: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    if rx.recv_timeout(limit).is_err() {
+        panic!("{what} did not return within {limit:?}");
+    }
+    worker.join().expect("shutdown thread");
+}
+
+/// The accept loop blocks in `accept`; shutdown must wake it at once
+/// whichever way it arrives: through the handle, through a client
+/// `Shutdown` request, and on a server bound to an unspecified
+/// address (woken through loopback). After a handle shutdown the port
+/// accepts no more work.
+#[test]
+fn shutdown_returns_promptly_both_ways() {
+    let prompt = Duration::from_secs(2);
+
+    let handle = test_server(1, 4);
+    let addr = handle.local_addr();
+    returns_within(prompt, "handle shutdown", move || handle.shutdown());
+    assert!(
+        Client::connect(addr).and_then(|mut c| c.ping()).is_err(),
+        "a shut-down server must not serve new connections"
+    );
+
+    let handle = test_server(1, 4);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    client.ping().expect("ping");
+    client.shutdown_server().expect("ShuttingDown");
+    returns_within(prompt, "client shutdown", move || handle.join());
+
+    let handle = serve(ServerConfig {
+        addr: "0.0.0.0:0".to_string(),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind unspecified address");
+    returns_within(prompt, "wildcard shutdown", move || handle.shutdown());
+}
